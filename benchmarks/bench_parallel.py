@@ -7,7 +7,7 @@ Times the full fig-10 sweep (every Table 2 cell) three ways:
 * ``serial_warm`` — one process with the warm-start compile cache kept
   across rounds: round 0 compiles, later rounds fork cached problems.
   Min over the *warm* rounds.
-* ``parallel_warm`` — N worker processes with a persistent pool:
+* ``parallel_warm`` — N worker processes under one persistent supervisor:
   deterministic sharding pins each cell to one worker, so per-worker
   caches are warm from round 1 on.  Min over the warm rounds.
 
@@ -52,7 +52,7 @@ from repro.experiments.harness import (  # noqa: E402
 )
 from repro.network import chain_network  # noqa: E402
 from repro.obs import Telemetry  # noqa: E402
-from repro.parallel import CompileCache, WorkerPool  # noqa: E402
+from repro.parallel import CompileCache, Supervisor  # noqa: E402
 from repro.simulate import LinkChange  # noqa: E402
 from repro.simulate.runner import Simulation  # noqa: E402
 
@@ -101,7 +101,7 @@ def bench_sweep(networks, scenarios, rounds: int, workers: int) -> dict:
     # leaks into the timings it is meant to explain.
     parallel_warm: list[float] = []
     telemetry = Telemetry()
-    with WorkerPool(workers) as pool:
+    with Supervisor(workers) as pool:
         note(
             _run_table2_parallel(  # cold: fills the per-worker caches
                 networks, scenarios, workers, telemetry=telemetry,

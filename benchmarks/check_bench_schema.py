@@ -407,7 +407,6 @@ _SUPERVISION_TOP_KEYS = {
     "events": int,
     "rounds": int,
     "modes": dict,
-    "overhead_pct": (int, float),
     "recovery_s": (int, float),
     "equivalent": bool,
 }
@@ -424,7 +423,7 @@ def check_bench_supervision(path: Path, data: dict) -> list[str]:
         ):
             errors.append(f"{path}: {key!r} should be {typ}")
     modes = data.get("modes", {})
-    for mode in ("serial", "pool", "supervised", "supervised_kill"):
+    for mode in ("serial", "supervised", "supervised_kill"):
         entry = modes.get(mode)
         if not isinstance(entry, dict):
             errors.append(f"{path}: modes.{mode} missing or not an object")

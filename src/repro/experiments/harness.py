@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..domains.media import DEFAULT_DEMAND, DEFAULT_SOURCE_BW, build_app
@@ -288,60 +287,37 @@ def _run_table2_parallel(
     """One Table-2 cell per pool task; results reassembled in cell order.
 
     ``pool`` lets a caller (the benchmark harness) keep one warm
-    pool-compatible executor across repeated sweeps so the per-worker
-    compile caches persist; by default a
-    :class:`~repro.parallel.Supervisor` is created and torn down around
-    this one sweep, so a worker death mid-sweep respawns and retries
-    instead of aborting.  ``compile_cache`` only gates whether workers
-    use *their own* process-global cache (it cannot cross the process
-    boundary).
+    :class:`~repro.parallel.Supervisor` across repeated sweeps so the
+    per-worker compile caches persist; by default
+    :func:`~repro.parallel.fan_out` opens one around this sweep, so a
+    worker death mid-sweep respawns and retries instead of aborting.
+    ``compile_cache`` only gates whether workers use *their own*
+    process-global cache (it cannot cross the process boundary).
     """
-    from ..parallel import CellTask, Supervisor, resolve_workers, run_cell_task
+    from ..parallel import CellTask, fan_out, run_cell_task
 
-    workers = resolve_workers(workers, len(networks) * len(scenarios))
-    dispatch = (
-        telemetry.span("table2.fanout", workers=workers)
-        if telemetry is not None
-        else nullcontext()
-    )
-    with dispatch:
-        # Tasks carry the dispatch span's context so every worker span
-        # stitches under it when the snapshots come home.
-        ctx = telemetry.current_context() if telemetry is not None else None
-        tasks = [
-            CellTask(
-                network=net_key,
-                scenario=scen_key,
-                source_bw=source_bw,
-                demand=demand,
-                rg_node_budget=rg_node_budget,
-                with_metrics=telemetry is not None,
-                use_cache=compile_cache is not None,
-                static_prune=static_prune,
-                trace=ctx,
-                profile=profile_sink is not None,
-            )
-            for net_key in networks
-            for scen_key in scenarios
-        ]
-        if pool is not None:
-            results = pool.map(
-                run_cell_task, tasks,
-                on_frame=on_frame, stream_interval_s=stream_interval_s,
-            )
-        else:
-            with Supervisor(workers, telemetry=telemetry) as fresh:
-                results = fresh.map(
-                    run_cell_task, tasks,
-                    on_frame=on_frame, stream_interval_s=stream_interval_s,
-                )
-    # Stitch worker spans and merge metrics in task order (deterministic
-    # regardless of completion interleaving), then hand rows back in the
-    # serial walk's order.
-    if telemetry is not None:
-        for index, result in enumerate(results):
-            telemetry.stitch_snapshot(result.metrics, worker=index % workers)
-            result.metrics.merge_into(telemetry.metrics)
+    tasks = [
+        CellTask(
+            network=net_key,
+            scenario=scen_key,
+            source_bw=source_bw,
+            demand=demand,
+            rg_node_budget=rg_node_budget,
+            with_metrics=telemetry is not None,
+            use_cache=compile_cache is not None,
+            static_prune=static_prune,
+            profile=profile_sink is not None,
+        )
+        for net_key in networks
+        for scen_key in scenarios
+    ]
+    # Worker spans stitch under the table2.fanout span and metrics merge
+    # in task order; rows come back in the serial walk's order.
+    results = fan_out(
+        run_cell_task, tasks, workers,
+        pool=pool, telemetry=telemetry, span="table2.fanout",
+        on_frame=on_frame, stream_interval_s=stream_interval_s,
+    ).raise_on_failure()
     if profile_sink is not None:
         for result in results:
             if result.profile:

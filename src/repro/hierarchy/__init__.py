@@ -13,10 +13,10 @@ the transit-stub structure the generator emits (and real WANs exhibit):
 3. **plan the backbone** over the tiny abstract network, then derive
    per-domain boundary contracts from the abstract plan's exact
    execution (:mod:`repro.hierarchy.contracts`);
-4. **fan out** the concrete per-domain subproblems (over the
-   :class:`~repro.parallel.WorkerPool` when asked) and **stitch** the
-   sub-plans back into one sequence, validated action-by-action with the
-   exact :class:`~repro.planner.PlanExecutor`
+4. **fan out** the concrete per-domain subproblems (across worker
+   processes through :func:`~repro.parallel.fan_out` when asked) and
+   **stitch** the sub-plans back into one sequence, validated
+   action-by-action with the exact :class:`~repro.planner.PlanExecutor`
    (:mod:`repro.hierarchy.stitch`);
 5. on any miss — unpartitionable network, infeasible subproblem, stitch
    validation failure — walk the **fallback ladder**: flat planning on

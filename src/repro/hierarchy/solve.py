@@ -262,7 +262,7 @@ def _solve_domains(domain_problems, leveling, cfg: HierarchyConfig, tele):
     and parallel runs hand identical inputs to identical solvers —
     results are byte-identical at any worker count.
     """
-    from ..parallel.workers import DomainTask, run_domain_task
+    from ..parallel import DomainTask, fan_out, run_domain_task
 
     tasks = [
         DomainTask(
@@ -273,22 +273,7 @@ def _solve_domains(domain_problems, leveling, cfg: HierarchyConfig, tele):
             rg_node_budget=cfg.domain_rg_node_budget,
             with_metrics=tele is not None,
             use_cache=cfg.use_cache,
-            trace=tele.current_context() if tele is not None else None,
         )
         for p in sorted(domain_problems, key=lambda p: p.domain.key)
     ]
-    if not tasks:
-        return []
-    if cfg.workers <= 1 or len(tasks) == 1:
-        results = [run_domain_task(task) for task in tasks]
-    else:
-        from ..parallel import Supervisor, resolve_workers
-
-        workers = resolve_workers(cfg.workers, len(tasks))
-        with Supervisor(workers, telemetry=tele) as pool:
-            results = pool.map(run_domain_task, tasks)
-    if tele is not None:
-        for index, result in enumerate(results):
-            tele.stitch_snapshot(result.metrics, worker=index % max(cfg.workers, 1))
-            result.metrics.merge_into(tele.metrics)
-    return results
+    return fan_out(run_domain_task, tasks, cfg.workers, telemetry=tele).raise_on_failure()

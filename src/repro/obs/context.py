@@ -71,8 +71,8 @@ class RemoteSpan:
     """A worker span after stitching into the coordinator's telemetry.
 
     Same shape as :class:`~repro.obs.Span` plus provenance: the worker
-    process pid (the trace lane) and, when the caller knows it, the
-    pool's worker index.  Timestamps are coordinator ``perf_counter``
+    process pid (the trace lane) and, when the task ran in a worker, the
+    supervisor slot that returned it.  Timestamps are coordinator ``perf_counter``
     seconds — already re-based, directly comparable to local spans.
     """
 

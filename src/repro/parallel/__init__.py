@@ -2,14 +2,16 @@
 
 Spawn-safe building blocks for running planner work across processes:
 
-* :class:`WorkerPool` — persistent spawn-started workers with
-  deterministic task→worker sharding and loud failures
-  (:class:`TaskFailed`, :class:`WorkerCrashed`).
-* :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — the
-  self-healing layer on the same workers: death detection, respawn,
-  retry with a budget, poison quarantine
-  (:class:`TaskQuarantined`), and in-process fallback, reported via
-  :class:`SupervisionReport` (docs/ROBUSTNESS.md).
+* :class:`Supervisor` (:mod:`repro.parallel.supervisor`) — persistent
+  spawn-started workers with deterministic task→worker sharding that
+  heal instead of aborting: death detection, respawn, retry with a
+  budget, poison quarantine (:class:`TaskQuarantined`), and in-process
+  fallback, reported via :class:`SupervisionReport`; a task that raises
+  surfaces as :class:`TaskFailed` (docs/ROBUSTNESS.md).
+* :func:`fan_out` — the one fan-out path every pooled driver calls:
+  worker-count resolution, supervisor reuse or lifetime, the dispatch
+  span, trace-context injection, and task-ordered span stitching and
+  metric merging.
 * Envelopes (:mod:`repro.parallel.envelope`) — the pickleable contract
   between parent and workers; :func:`check_picklable` names the exact
   offending field when something unpicklable sneaks in.
@@ -17,8 +19,8 @@ Spawn-safe building blocks for running planner work across processes:
   compile cache keyed by content fingerprints
   (:mod:`repro.parallel.fingerprint`), one per worker process.
 * Worker task functions (:mod:`repro.parallel.workers`) — the
-  module-level entry points the pool actually runs (Table-2 cells,
-  fault-campaign runs).
+  module-level entry points the workers actually run (Table-2 cells,
+  fault-campaign runs, fleet repairs, hierarchical domains).
 * Portfolio racing (:mod:`repro.parallel.race`) — the process-parallel
   mode of :func:`repro.planner.solve_robust`.
 
@@ -44,14 +46,17 @@ from .fingerprint import (
     network_delta,
     network_fingerprint,
 )
-from .pool import START_METHOD, TaskFailed, WorkerCrashed, WorkerPool, resolve_workers
 from .race import RungJob, RungOutcome, race_rungs
 from .supervisor import (
+    START_METHOD,
     SupervisionReport,
     SupervisionStats,
     Supervisor,
     SupervisorConfig,
+    TaskFailed,
     TaskQuarantined,
+    fan_out,
+    resolve_workers,
 )
 from .workers import (
     CampaignResult,
@@ -70,10 +75,9 @@ from .workers import (
 
 __all__ = [
     "START_METHOD",
-    "WorkerPool",
-    "WorkerCrashed",
     "TaskFailed",
     "resolve_workers",
+    "fan_out",
     "Supervisor",
     "SupervisorConfig",
     "SupervisionReport",

@@ -36,7 +36,7 @@ from ..model import AppSpec, Leveling
 from ..network import Network
 from ..obs.context import TraceContext
 from .envelope import MetricsSnapshot, PlanEnvelope
-from .pool import START_METHOD
+from .supervisor import START_METHOD
 
 __all__ = ["RungJob", "RungOutcome", "race_rungs"]
 

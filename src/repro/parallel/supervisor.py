@@ -1,13 +1,24 @@
-"""Self-healing worker supervision (docs/ROBUSTNESS.md, "Supervised execution").
+"""Supervised worker processes and the one fan-out path (docs/ROBUSTNESS.md).
 
-:class:`~repro.parallel.WorkerPool` is deliberately *loud*: a worker
-that dies mid-shard aborts the whole map with
-:class:`~repro.parallel.WorkerCrashed`, losing every sibling task's
-work.  That is the right contract for a benchmark harness and exactly
-the wrong one for long campaigns and controller runs, where ``--workers
-4`` must never be *less* reliable than ``--workers 1``.
-:class:`Supervisor` is the self-healing layer on top of the same worker
-processes:
+:class:`Supervisor` owns every worker process the fan-out drivers use
+(the Table-2 sweep, campaigns, the fleet controller, hierarchical
+per-domain solves), and :func:`fan_out` is the one way those drivers
+hand it work.  Two design choices are load-bearing:
+
+* **Deterministic task→worker affinity.**  Tasks shard statically (task
+  ``i`` starts on slot ``i % workers``), so a task set replayed against a
+  persistent supervisor lands on the *same* workers every time and each
+  worker's warm-start compile cache (:mod:`repro.parallel.cache`) hits
+  reliably — a shared work queue would scatter repeat tasks at the
+  scheduler's whim.
+* **Spawn, unconditionally.**  No inherited state, no fork-only
+  assumptions: behaviour is identical on Linux, macOS and Windows, and
+  pickling bugs in task payloads show up everywhere.  Task functions
+  must be module-level importables and payloads must survive pickling
+  (:func:`repro.parallel.check_picklable` diagnoses violations).
+
+``--workers 4`` must never be *less* reliable than ``--workers 1``, so
+the supervisor heals instead of aborting:
 
 * **Death detection** — workers run the eager ``run_each`` protocol
   (each task's result is sent the moment it finishes), and the
@@ -59,12 +70,15 @@ running it, once — the requeued attempt runs clean.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import signal
 import time
-from dataclasses import dataclass, field
+import traceback
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from typing import Callable, Sequence
-
-from .pool import STALL_INTERVALS, TaskFailed, _run_one, _synth_frame, _worker_main
 
 __all__ = [
     "Supervisor",
@@ -72,7 +86,148 @@ __all__ = [
     "SupervisionReport",
     "SupervisionStats",
     "TaskQuarantined",
+    "TaskFailed",
+    "fan_out",
+    "resolve_workers",
 ]
+
+STALL_INTERVALS = 4
+"""A streaming worker silent for this many heartbeat periods is stalled."""
+
+START_METHOD = "spawn"
+
+
+class TaskFailed(RuntimeError):
+    """One or more tasks raised in workers; carries remote tracebacks.
+
+    ``index``/``remote_traceback`` describe the lowest failing task (the
+    deterministic primary); ``failures`` maps *every* failed task index
+    to its ``(message, remote_traceback)`` pair so multi-failure runs are
+    debuggable in one pass, and ``indices`` lists them sorted.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        message: str,
+        remote_traceback: str,
+        failures: dict[int, tuple[str, str]] | None = None,
+    ):
+        self.index = index
+        self.remote_traceback = remote_traceback
+        self.failures = dict(failures) if failures else {index: (message, remote_traceback)}
+        self.indices = sorted(self.failures)
+        text = (
+            f"task {index} failed in worker: {message}\n"
+            f"--- remote traceback ---\n{remote_traceback}"
+        )
+        others = [i for i in self.indices if i != index]
+        if others:
+            text += f"\n({len(self.indices)} tasks failed in total: {self.indices})"
+            for i in others:
+                other_message, _tb = self.failures[i]
+                text += f"\ntask {i} failed in worker: {other_message}"
+        super().__init__(text)
+
+    @classmethod
+    def from_failures(cls, failures: dict[int, tuple[str, str]]) -> "TaskFailed":
+        """The error for a run's ``failures`` map, led by its lowest index."""
+        first = min(failures)
+        message, remote_tb = failures[first]
+        return cls(first, message, remote_tb, failures=failures)
+
+
+def resolve_workers(workers: int | None, tasks: int) -> int:
+    """Clamp a worker-count request to something sensible."""
+    if workers is None or workers <= 1:
+        return 1
+    return max(1, min(workers, tasks))
+
+
+def _synth_frame(kind: str, pid: int, **extra) -> dict:
+    """A coordinator-side frame (stall/recovery/respawn bookkeeping)."""
+    frame = {
+        "kind": kind,
+        "pid": pid,
+        "seq": 0,
+        "ts_s": time.time(),
+        "task": None,
+        "label": "",
+        "done": 0,
+        "total": 0,
+    }
+    frame.update(extra)
+    return frame
+
+
+def _run_one(fn, payload) -> tuple[bool, object, str | None]:
+    """Run one task; never raises — failures come back as data."""
+    try:
+        return True, fn(payload), None
+    except BaseException as exc:  # noqa: BLE001 - report, don't die
+        return False, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+
+
+def _worker_main(conn) -> None:
+    """Worker loop: receive a shard, run it task by task, reply; repeat.
+
+    The coordinator sends ``("run_each", fn, shard, interval, kill_before)``.
+    Each task's result is sent eagerly as ``("result", (index, ok, value,
+    remote_tb))``, so the coordinator knows exactly which tasks completed
+    if this process dies mid-shard; an empty ``("done", [])`` marks the
+    shard's end.  ``kill_before`` is the fault-injection hook: the worker
+    SIGKILLs *itself* immediately before running any task listed there
+    (tests and the supervision-smoke CI job inject crashes this way).
+
+    With a stream interval set, ``("frame", dict)`` messages interleave
+    with the results — the heartbeat thread is joined before the done
+    send, so no frame ever trails the shard.
+    """
+    try:
+        while True:
+            message = conn.recv()
+            if message[0] == "stop":
+                break
+            _, fn, shard, interval_s, kill_before = message
+            kill_before = frozenset(kill_before)
+            sender = None
+            if interval_s is not None:
+                from ..obs.stream import FrameSender
+
+                sender = FrameSender(conn, interval_s, total=len(shard))
+            for index, payload in shard:
+                if index in kill_before:
+                    if sender is not None:
+                        sender.close()
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if sender is not None:
+                    sender.task_start(index, payload)
+                ok, value, remote_tb = _run_one(fn, payload)
+                if sender is not None:
+                    sender.task_end(index, ok, value if ok else None)
+                try:
+                    conn.send(("result", (index, ok, value, remote_tb)))
+                except (BrokenPipeError, EOFError, OSError):
+                    raise
+                except Exception as exc:  # unpicklable result value
+                    conn.send(
+                        (
+                            "result",
+                            (
+                                index,
+                                False,
+                                f"result not picklable: {type(exc).__name__}: {exc}",
+                                traceback.format_exc(),
+                            ),
+                        )
+                    )
+            if sender is not None:
+                sender.close()
+            conn.send(("done", []))
+    except (EOFError, KeyboardInterrupt):  # parent went away / interrupt
+        pass
+    finally:
+        conn.close()
 
 
 @dataclass(frozen=True)
@@ -143,10 +298,13 @@ class SupervisionReport:
 
     ``values[i]`` is task ``i``'s result, or ``None`` where the task
     failed or was quarantined (look it up in ``failures`` /
-    ``quarantined``).
+    ``quarantined``).  ``slots[i]`` is the worker slot that returned
+    ``values[i]`` — ``None`` when the task ran in the coordinator
+    process or did not succeed.
     """
 
     values: list
+    slots: list[int | None]
     failures: dict[int, tuple[str, str]] = field(default_factory=dict)
     quarantined: list[TaskQuarantined] = field(default_factory=list)
     stats: SupervisionStats = field(default_factory=SupervisionStats)
@@ -166,9 +324,7 @@ class SupervisionReport:
         for q in self.quarantined:
             failures.setdefault(q.index, (f"quarantined: {q.reason}", ""))
         if failures:
-            first = min(failures)
-            message, remote_tb = failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=failures)
+            raise TaskFailed.from_failures(failures)
         return self.values
 
 
@@ -191,15 +347,18 @@ class _Slot:
 
 
 class Supervisor:
-    """Respawning, retrying, quarantining wrapper around worker processes.
+    """Persistent spawn-started workers that respawn, retry and quarantine.
 
-    Drop-in superset of :class:`~repro.parallel.WorkerPool`: ``map``
-    keeps the strict raise-on-failure contract (after recovery has been
-    attempted), ``run`` returns the full :class:`SupervisionReport`.
-    Workers persist across calls like the pool's, and tasks shard
-    deterministically (task ``i`` starts on worker ``i % workers``), so
-    warm per-worker compile caches behave identically — supervision only
-    changes what happens when a worker dies.
+    Use as a context manager (or call :meth:`close`)::
+
+        with Supervisor(4) as sup:
+            rows = sup.map(run_cell_task, tasks)
+
+    ``map`` is the strict surface (raises :class:`TaskFailed` once
+    recovery has been attempted); ``run`` returns the full
+    :class:`SupervisionReport`.  Workers persist across calls, so
+    per-process state (module imports, compile caches) is paid once, and
+    task ``i`` starts on slot ``i % workers`` every time.
     """
 
     def __init__(
@@ -211,10 +370,6 @@ class Supervisor:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        import multiprocessing as mp
-
-        from .pool import START_METHOD
-
         self.config = config or SupervisorConfig()
         retry = self.config.retry
         if retry is None:
@@ -295,7 +450,7 @@ class Supervisor:
                 slot.conn = None
             slot.dead = True
 
-    # -- the pool-compatible strict surface ---------------------------------------
+    # -- the strict surface ---------------------------------------------------------
 
     def map(
         self,
@@ -304,8 +459,8 @@ class Supervisor:
         on_frame: Callable[[int, dict], None] | None = None,
         stream_interval_s: float | None = None,
     ) -> list:
-        """Supervised ``WorkerPool.map``: recover first, raise only if a
-        task (not a worker) is beyond saving."""
+        """Results in payload order: recover first, raise
+        :class:`TaskFailed` only if a task (not a worker) is beyond saving."""
         return self.run(
             fn, payloads, on_frame=on_frame, stream_interval_s=stream_interval_s
         ).raise_on_failure()
@@ -333,7 +488,7 @@ class Supervisor:
             raise RuntimeError("supervisor is closed")
         payload_list = list(payloads)
         total = len(payload_list)
-        report = SupervisionReport(values=[None] * total)
+        report = SupervisionReport(values=[None] * total, slots=[None] * total)
         if not total:
             return report
 
@@ -465,9 +620,10 @@ class _RunState:
             + len(self.report.quarantined)
         )
 
-    def _record_result(self, index: int, ok: bool, value, remote_tb) -> None:
+    def _record_result(self, index: int, ok: bool, value, remote_tb, slot_id) -> None:
         if ok:
             self.report.values[index] = value
+            self.report.slots[index] = slot_id
             if self.on_result is not None:
                 self.on_result(index, value)
         else:
@@ -587,7 +743,7 @@ class _RunState:
             index, ok, value, remote_tb = message[1]
             if index in slot.queued:
                 slot.queued.remove(index)
-            self._record_result(index, ok, value, remote_tb)
+            self._record_result(index, ok, value, remote_tb, slot_id)
             return
         # "done": shard-end marker; per-task results already accounted.
 
@@ -711,4 +867,99 @@ class _RunState:
             ok, value, remote_tb = _run_one(self.fn, self.payloads[index])
             self.report.stats.inprocess += 1
             self.sup._inc("pool.task.inprocess")
-            self._record_result(index, ok, value, remote_tb)
+            self._record_result(index, ok, value, remote_tb, None)
+
+
+def fan_out(
+    fn: Callable,
+    tasks: Sequence,
+    workers: int | None = None,
+    *,
+    pool: Supervisor | None = None,
+    telemetry=None,
+    span: str | None = None,
+    span_attrs: dict | None = None,
+    on_frame: Callable[[int, dict], None] | None = None,
+    stream_interval_s: float | None = None,
+    on_result: Callable[[int, object], None] | None = None,
+    inject_kill: Sequence[int] = (),
+) -> SupervisionReport:
+    """Run ``fn`` over ``tasks`` across worker processes: the one fan-out path.
+
+    Runs on ``pool`` when the caller keeps a long-lived supervisor, else
+    on a fresh :class:`Supervisor` of ``resolve_workers(workers,
+    len(tasks))`` slots, opened and closed around this call — or, when
+    that resolves to one worker, in this process, in task order (frames
+    for ``on_frame`` are then synthesized as worker 0's).
+
+    With ``telemetry``, the work runs under the dispatch span ``span``
+    (attributes ``span_attrs``, by default the resolved worker count;
+    no span when ``span`` is ``None``), every task is re-stamped with
+    the current :class:`~repro.obs.TraceContext` via its ``trace``
+    field, and each result's ``metrics`` snapshot is stitched and merged
+    in task order, labelled with the slot that returned it (``None`` for
+    in-process results).
+
+    Tasks that raise in workers surface as :class:`TaskFailed` (in this
+    process, the task's own exception propagates); quarantined tasks
+    stay in the returned report, so strict callers follow up with
+    :meth:`SupervisionReport.raise_on_failure`.
+    """
+    tasks = list(tasks)
+    workers = resolve_workers(workers, len(tasks))
+    dispatch = nullcontext()
+    if telemetry is not None and span is not None:
+        attrs = span_attrs if span_attrs is not None else {"workers": workers}
+        dispatch = telemetry.span(span, **attrs)
+    run_kwargs = dict(
+        on_frame=on_frame, stream_interval_s=stream_interval_s,
+        on_result=on_result, inject_kill=inject_kill,
+    )
+    with dispatch:
+        if telemetry is not None:
+            ctx = telemetry.current_context()
+            tasks = [replace(task, trace=ctx) for task in tasks]
+        if pool is not None:
+            report = pool.run(fn, tasks, **run_kwargs)
+        elif workers == 1:
+            report = _run_here(fn, tasks, on_frame, on_result)
+        else:
+            with Supervisor(workers, telemetry=telemetry) as fresh:
+                report = fresh.run(fn, tasks, **run_kwargs)
+    if report.failures:
+        raise TaskFailed.from_failures(report.failures)
+    if telemetry is not None:
+        for value, slot_id in zip(report.values, report.slots):
+            metrics = getattr(value, "metrics", None)
+            if metrics is not None:
+                telemetry.stitch_snapshot(metrics, worker=slot_id)
+                metrics.merge_into(telemetry.metrics)
+    return report
+
+
+def _run_here(fn, tasks: list, on_frame, on_result) -> SupervisionReport:
+    """The one-worker path of :func:`fan_out`: every task in this process."""
+    from ..obs.stream import make_frame, task_label
+
+    total = len(tasks)
+    report = SupervisionReport(values=[], slots=[None] * total)
+    for index, task in enumerate(tasks):
+        label = task_label(task)
+        if on_frame is not None:
+            on_frame(
+                0,
+                make_frame("task_start", task=index, label=label, done=index, total=total),
+            )
+        value = fn(task)
+        report.values.append(value)
+        if on_result is not None:
+            on_result(index, value)
+        if on_frame is not None:
+            on_frame(
+                0,
+                make_frame(
+                    "task_end", task=index, label=label,
+                    done=index + 1, total=total, ok=True,
+                ),
+            )
+    return report

@@ -1,7 +1,7 @@
-"""Module-level worker task functions for the process pool.
+"""Module-level worker task functions for the supervised workers.
 
 Spawn-started workers pickle task functions *by reference*, so
-everything a :class:`~repro.parallel.WorkerPool` runs lives here as a
+everything a :class:`~repro.parallel.Supervisor` runs lives here as a
 plain module-level function taking one pickleable payload dataclass and
 returning one pickleable result dataclass.  Each task builds its own
 :class:`~repro.obs.Telemetry` (when asked) and returns a

@@ -5,8 +5,8 @@ this module factors that assembly into :func:`run_campaign_run` so the
 same logic serves three callers identically:
 
 * the CLI (single run, stdout record),
-* :func:`run_campaign` (multi-seed sweeps, serial or fanned out over a
-  :class:`~repro.parallel.WorkerPool`, one run per task),
+* :func:`run_campaign` (multi-seed sweeps, serial or fanned out through
+  :func:`~repro.parallel.fan_out`, one run per task),
 * :func:`repro.parallel.workers.run_campaign_task` (the worker-side
   entry point of that fan-out).
 
@@ -179,61 +179,40 @@ def run_campaign(
             journal.append(f"run-{index}", entry)
 
     if workers > 1 and len(pending) > 1:
-        from contextlib import nullcontext
+        from ..parallel import CampaignTask, fan_out, run_campaign_task
 
-        from ..parallel import (
-            CampaignTask,
-            Supervisor,
-            TaskFailed,
-            resolve_workers,
-            run_campaign_task,
+        tasks = [
+            CampaignTask(
+                app=app,
+                network=network,
+                leveling=leveling,
+                spec=spec,
+                seed=run_seeds[i],
+                events=events,
+                time_limit_s=time_limit_s,
+                include_timings=include_timings,
+                with_metrics=telemetry is not None,
+                use_cache=compile_cache is not None,
+            )
+            for i in pending
+        ]
+
+        def on_result(local_index: int, res) -> None:
+            settle(
+                pending[local_index],
+                {
+                    "seed": res.seed,
+                    "record": res.record,
+                    "description": res.description,
+                },
+            )
+
+        report = fan_out(
+            run_campaign_task, tasks, workers,
+            telemetry=telemetry, span="campaign.fanout",
+            on_frame=on_frame, stream_interval_s=stream_interval_s,
+            on_result=on_result, inject_kill=inject_kill,
         )
-
-        pool_size = resolve_workers(workers, len(pending))
-        dispatch = (
-            telemetry.span("campaign.fanout", workers=pool_size)
-            if telemetry is not None
-            else nullcontext()
-        )
-        with dispatch:
-            ctx = telemetry.current_context() if telemetry is not None else None
-            tasks = [
-                CampaignTask(
-                    app=app,
-                    network=network,
-                    leveling=leveling,
-                    spec=spec,
-                    seed=run_seeds[i],
-                    events=events,
-                    time_limit_s=time_limit_s,
-                    include_timings=include_timings,
-                    with_metrics=telemetry is not None,
-                    use_cache=compile_cache is not None,
-                    trace=ctx,
-                )
-                for i in pending
-            ]
-
-            def on_result(local_index: int, res) -> None:
-                settle(
-                    pending[local_index],
-                    {
-                        "seed": res.seed,
-                        "record": res.record,
-                        "description": res.description,
-                    },
-                )
-
-            with Supervisor(pool_size, telemetry=telemetry) as sup:
-                report = sup.run(
-                    run_campaign_task, tasks,
-                    on_frame=on_frame, stream_interval_s=stream_interval_s,
-                    on_result=on_result, inject_kill=inject_kill,
-                )
-        if report.failures:
-            first = min(report.failures)
-            message, remote_tb = report.failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=report.failures)
         for q in report.quarantined:
             index = pending[q.index]
             settle(
@@ -245,12 +224,6 @@ def run_campaign(
                     "quarantined": q.to_dict(),
                 },
             )
-        if telemetry is not None:
-            for local_index, res in enumerate(report.values):
-                if res is None or res.metrics is None:
-                    continue
-                telemetry.stitch_snapshot(res.metrics, worker=local_index % pool_size)
-                res.metrics.merge_into(telemetry.metrics)
     else:
         from ..obs import make_frame
 

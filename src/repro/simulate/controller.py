@@ -11,8 +11,8 @@ controller takes to get a member from "broken" back to "running".
 application instances (:func:`replicate_apps`).  After each event, every
 member is repaired — through :func:`repro.planner.repair_by_names`, so a
 member's deployment travels as a tuple of ground-action names — either
-inline or fanned out over a :class:`~repro.parallel.WorkerPool` as
-:class:`~repro.parallel.RepairTask` payloads.  Deterministic task→worker
+inline or fanned out over a long-lived :class:`~repro.parallel.Supervisor`
+as :class:`~repro.parallel.RepairTask` payloads.  Deterministic task→worker
 sharding pins each member to one worker, so that worker's compile cache
 always holds the member's previous network state: exactly the base the
 delta-aware compile (``delta_replanning`` in the spec) patches instead
@@ -208,7 +208,7 @@ def run_controller(
         RepairOutcome,
         RepairTask,
         Supervisor,
-        TaskFailed,
+        fan_out,
         resolve_workers,
         run_repair_task,
     )
@@ -247,39 +247,24 @@ def run_controller(
     ttr_ms: list[float] = []
     inject_pending = set(inject_kill)
 
-    def supervised_batch(tasks: list, pool) -> list:
-        kills = sorted(inject_pending)
-        inject_pending.clear()
-        report = pool.run(
-            run_repair_task, tasks,
-            on_frame=on_frame, stream_interval_s=stream_interval_s,
-            inject_kill=kills,
-        )
-        if report.failures:
-            first = min(report.failures)
-            message, remote_tb = report.failures[first]
-            raise TaskFailed(first, message, remote_tb, failures=report.failures)
-        outcomes = list(report.values)
-        for q in report.quarantined:
-            outcomes[q.index] = RepairOutcome(
-                app=tasks[q.index].app.name,
-                outcome="quarantined",
-                failure=f"quarantined: {q.reason}",
-            )
-        return outcomes
-
     def run_batch(tasks: list, pool) -> list:
         if pool is not None:
-            if telemetry is not None:
-                with telemetry.span("controller.batch", members=len(tasks)):
-                    ctx = telemetry.current_context()
-                    tasks = [replace(t, trace=ctx) for t in tasks]
-                    outcomes = supervised_batch(tasks, pool)
-                for i, o in enumerate(outcomes):
-                    telemetry.stitch_snapshot(o.metrics, worker=i % pool.workers)
-                    o.metrics.merge_into(telemetry.metrics)
-            else:
-                outcomes = supervised_batch(tasks, pool)
+            kills = sorted(inject_pending)
+            inject_pending.clear()
+            report = fan_out(
+                run_repair_task, tasks,
+                pool=pool, telemetry=telemetry,
+                span="controller.batch", span_attrs={"members": len(tasks)},
+                on_frame=on_frame, stream_interval_s=stream_interval_s,
+                inject_kill=kills,
+            )
+            outcomes = list(report.values)
+            for q in report.quarantined:
+                outcomes[q.index] = RepairOutcome(
+                    app=tasks[q.index].app.name,
+                    outcome="quarantined",
+                    failure=f"quarantined: {q.reason}",
+                )
         else:
             from ..obs import make_frame
 

@@ -1,5 +1,7 @@
 """The solve ladder: planner integration, telemetry, fallback rungs."""
 
+import os
+
 import pytest
 
 from repro.domains.media import build_app
@@ -45,6 +47,18 @@ class TestTelemetry:
             assert expected in names
         assert tele.metrics.counter("hierarchy.domains").value >= 2
         assert tele.metrics.counter("hierarchy.stitch.retries").value == 0
+
+    def test_serial_domain_spans_claim_no_worker_lane(self):
+        net, app, leveling = _large()
+        tele = Telemetry()
+        outcome = solve_hierarchical(
+            app, net, leveling=leveling, telemetry=tele,
+            config=HierarchyConfig(workers=1),
+        )
+        assert outcome.mode == "hierarchical"
+        assert tele.remote_spans, "domain solves recorded no spans"
+        for span in tele.remote_spans:
+            assert span.pid == os.getpid() and span.worker is None
 
     def test_fallback_counts_retries(self):
         net = chain_network([(150.0, "LAN")] * 3, cpu=1000.0)

@@ -15,10 +15,15 @@ import time
 
 import pytest
 
-from repro.experiments.harness import run_table2
+from repro.experiments.harness import _run_table2_parallel, run_table2
 from repro.obs import StreamAggregator, Telemetry, export_trace, load_trace
 from repro.obs.context import REMOTE_ID_BASE
-from repro.parallel import CellTask, WorkerPool, run_cell_task
+from repro.parallel import (
+    CellTask,
+    Supervisor,
+    SupervisorConfig,
+    run_cell_task,
+)
 
 pytestmark = pytest.mark.slow  # spawns real worker processes
 
@@ -105,6 +110,31 @@ class TestStitchedSweep:
         ]
 
 
+class TestLaneLabels:
+    def test_each_pid_stitches_under_the_slot_that_ran_it(self):
+        """A dead slot's cells rerun on the survivor, and their spans say so.
+
+        Slot 1 is killed before the sweep and may not respawn, so every
+        cell runs on slot 0's process.  Labelling by ``index % workers``
+        would split that one pid across lanes 0 and 1.
+        """
+        telemetry = Telemetry()
+        with Supervisor(2, config=SupervisorConfig(max_respawns=0)) as sup:
+            victim = sup.pids[1]
+            os.kill(victim, signal.SIGKILL)
+            rows = _run_table2_parallel(
+                ("Tiny",), ("B", "C", "D", "E"), 2, pool=sup, telemetry=telemetry
+            )
+            slot_of = {pid: slot for slot, pid in enumerate(sup.pids) if pid}
+        assert len(rows) == 4
+        lanes: dict[int, set] = {}
+        for sp in telemetry.remote_spans:
+            lanes.setdefault(sp.pid, set()).add(sp.worker)
+        assert lanes and victim not in lanes
+        for pid, labels in lanes.items():
+            assert labels == {slot_of[pid]}, (pid, labels)
+
+
 class TestOptIn:
     def test_no_telemetry_means_no_trace_context_on_tasks(self):
         task = CellTask(
@@ -133,7 +163,7 @@ def _freeze(_payload) -> str:
 class TestPoolStreaming:
     def test_frames_arrive_and_fold(self):
         agg = StreamAggregator()
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             results = pool.map(
                 _sleepy, [0.01, 0.01, 0.01, 0.01],
                 on_frame=agg.on_frame, stream_interval_s=0.05,
@@ -143,7 +173,7 @@ class TestPoolStreaming:
         assert len(agg.workers) >= 1  # at least one worker reported
 
     def test_no_on_frame_means_no_streaming(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             results = pool.map(_sleepy, [0.0, 0.0])
         assert results == [0.0, 0.0]
 
@@ -157,7 +187,7 @@ class TestPoolStreaming:
             if frame["kind"] == "heartbeat_missed" and frame["pid"]:
                 os.kill(frame["pid"], signal.SIGCONT)
 
-        with WorkerPool(1) as pool:
+        with Supervisor(1) as pool:
             results = pool.map(
                 _freeze, [None], on_frame=on_frame, stream_interval_s=0.05
             )

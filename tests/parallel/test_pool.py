@@ -1,4 +1,8 @@
-"""Tests for the spawn-safe worker pool.
+"""The worker-pool contract of :class:`~repro.parallel.Supervisor`.
+
+Payload order, deterministic sharding, remote tracebacks and lifecycle
+errors — the strict ``map`` surface every fan-out builds on.  Recovery
+from worker deaths is covered by ``test_supervisor``.
 
 Task functions live at module level (spawn pickles them by reference),
 so the helpers here double as a check that the test package itself is
@@ -10,7 +14,7 @@ import os
 
 import pytest
 
-from repro.parallel import TaskFailed, WorkerCrashed, WorkerPool, resolve_workers
+from repro.parallel import Supervisor, TaskFailed, resolve_workers
 
 
 # -- module-level task functions (spawn requirement) ---------------------------
@@ -29,10 +33,6 @@ def fail_on_odd(x):
     return x
 
 
-def boom(_x):
-    os._exit(13)  # simulate a hard crash (no exception, no reply)
-
-
 class TestResolveWorkers:
     def test_serial_requests_stay_serial(self):
         assert resolve_workers(None, 10) == 1
@@ -46,13 +46,15 @@ class TestResolveWorkers:
 
 
 class TestWorkerPool:
+    """A :class:`Supervisor` used as a plain pool: no worker dies."""
+
     def test_map_preserves_payload_order(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             assert pool.map(square, list(range(10))) == [x * x for x in range(10)]
 
     def test_deterministic_sharding(self):
         """Task i runs on worker i % W — the same worker every time."""
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             first = pool.map(whoami, list(range(6)))
             second = pool.map(whoami, list(range(6)))
         pids = {pid for _, pid in first}
@@ -66,7 +68,7 @@ class TestWorkerPool:
         assert all(len(s) == 1 for s in by_worker.values())
 
     def test_task_failure_carries_remote_traceback(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             with pytest.raises(TaskFailed) as err:
                 pool.map(fail_on_odd, [0, 2, 3, 5])
             # lowest-index failure wins deterministically
@@ -77,14 +79,8 @@ class TestWorkerPool:
             # the pool survives a task failure
             assert pool.map(square, [4]) == [16]
 
-    def test_worker_crash_is_loud(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(WorkerCrashed) as err:
-                pool.map(boom, [0])
-            assert "worker 0" in str(err.value)
-
     def test_closed_pool_refuses_work(self):
-        pool = WorkerPool(1)
+        pool = Supervisor(1)
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
@@ -92,8 +88,8 @@ class TestWorkerPool:
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            Supervisor(0)
 
     def test_empty_payload_list(self):
-        with WorkerPool(2) as pool:
+        with Supervisor(2) as pool:
             assert pool.map(square, []) == []

@@ -18,6 +18,7 @@ from repro.parallel import (
     SupervisorConfig,
     TaskFailed,
     TaskQuarantined,
+    fan_out,
 )
 from repro.simulate import RetryPolicy
 
@@ -230,3 +231,32 @@ class TestLifecycle:
         with Supervisor(2) as sup:
             pids = sup.pids
             assert len(pids) == 2 and all(p > 0 for p in pids)
+
+
+class TestFanOut:
+    def test_one_worker_runs_in_process_with_worker_zero_frames(self):
+        frames, landed = [], []
+        report = fan_out(
+            square, [1, 2, 3], workers=1,
+            on_frame=lambda wid, f: frames.append((wid, f["kind"], f["task"])),
+            on_result=lambda i, v: landed.append((i, v)),
+        )
+        assert report.values == [1, 4, 9]
+        assert report.slots == [None, None, None]
+        assert landed == [(0, 1), (1, 4), (2, 9)]
+        assert frames == [
+            (0, kind, task) for task in range(3) for kind in ("task_start", "task_end")
+        ]
+
+    def test_pooled_results_carry_the_slot_that_returned_them(self):
+        with Supervisor(2) as sup:
+            report = fan_out(square, list(range(6)), pool=sup)
+        assert report.values == [i * i for i in range(6)]
+        assert report.slots == [i % 2 for i in range(6)]
+
+    def test_task_failure_raises_but_quarantine_is_reported(self):
+        with pytest.raises(TaskFailed):
+            fan_out(boom_on_odd, [0, 1], workers=2)
+        report = fan_out(die_on_three, [1, 3], workers=2)
+        assert report.values[0] == 10
+        assert [q.index for q in report.quarantined] == [1]
