@@ -16,7 +16,11 @@ Subcommands
     anytime incumbent when one exists), and ``--fallback`` walks the
     graceful-degradation ladder (full -> anytime -> coarsened levels ->
     greedy) instead of failing outright; ``--fallback --workers N``
-    races the rungs in N processes instead of walking them.
+    races the rungs in N supervised worker processes instead of walking
+    them, under the walk's acceptance rule (the best rung that can still
+    win decides; a lower rung's fatal verdict never preempts it), each
+    rung bounded only by its own planner deadline.  ``--fallback`` and
+    ``--hierarchical`` exclude each other.
 ``simulate``
     Run a churn/fault campaign: generate a seeded fault timeline (or
     replay an explicit one from a JSON campaign spec), deploy, and repair
@@ -51,6 +55,13 @@ Subcommands
     format, auto-detected) and print its span tree, Table-2 stat gauges,
     metric distributions, and search-event account.
 
+Bad input — a missing or malformed network or spec file, a malformed
+``--levels`` value, a placement on an unknown node — exits with a
+one-line message, not a traceback.  Where ``--json`` takes ``-|FILE``
+(simulate, controller, bench), ``-`` prints the document to stdout and a
+file's ``wrote FILE`` confirmation goes to stderr, so stdout does not
+depend on the path.
+
 Examples
 --------
 ::
@@ -80,8 +91,21 @@ import argparse
 import json
 import sys
 
-from .model import AppSpec, Leveling, LevelSpec, SpecError, parse_spec_text
-from .network import TransitStubParams, load_network, network_to_dict, transit_stub_network
+from .model import (
+    AppSpec,
+    Leveling,
+    LevelSpec,
+    SpecError,
+    parse_spec_text,
+    validate_against_network,
+)
+from .network import (
+    NetworkError,
+    TransitStubParams,
+    load_network,
+    network_to_dict,
+    transit_stub_network,
+)
 from .planner import Planner, PlannerConfig, PlanningError
 
 __all__ = ["main"]
@@ -103,21 +127,60 @@ def _leveling_from_args(items) -> Leveling:
         var, _, cuts = item.partition("=")
         if not cuts:
             raise SystemExit(f"expected VAR=c1,c2,..., got {item!r}")
-        specs[var] = LevelSpec(tuple(float(c) for c in cuts.split(",")))
+        try:
+            specs[var] = LevelSpec(tuple(float(c) for c in cuts.split(",")))
+        except (ValueError, SpecError) as exc:
+            raise SystemExit(f"bad --levels {item!r}: {exc}") from None
     return Leveling(specs, name="cli")
 
 
-def _load_instance(args: argparse.Namespace) -> tuple[AppSpec, object, Leveling]:
-    network = load_network(args.network)
-    parsed = parse_spec_text(open(args.spec).read())
-    app = AppSpec.build(
-        name=args.spec,
-        interfaces=parsed.interfaces,
-        components=parsed.components,
-        initial=_placement_pairs(args.initial),
-        goals=_placement_pairs(args.goal),
-    )
+def _load_instance(
+    args: argparse.Namespace, validate: bool = True
+) -> tuple[AppSpec, object, Leveling]:
+    """The instance the arguments name; bad input exits with a message.
+
+    ``validate=False`` leaves app/network mismatches (such as a placement
+    on an unknown node) to the caller: lint reports them as diagnostics.
+    """
+    try:
+        network = load_network(args.network)
+    except (OSError, ValueError, KeyError, NetworkError) as exc:
+        raise SystemExit(f"cannot load network {args.network}: {exc}") from None
+    try:
+        with open(args.spec) as fh:
+            parsed = parse_spec_text(fh.read())
+        app = AppSpec.build(
+            name=args.spec,
+            interfaces=parsed.interfaces,
+            components=parsed.components,
+            initial=_placement_pairs(args.initial),
+            goals=_placement_pairs(args.goal),
+        )
+    except (OSError, SpecError) as exc:
+        raise SystemExit(f"cannot load spec {args.spec}: {exc}") from None
+    problems = validate_against_network(app, network) if validate else []
+    if problems:
+        raise SystemExit(
+            f"{args.spec} does not fit network {args.network}:\n  "
+            + "\n  ".join(problems)
+        )
     return app, network, _leveling_from_args(args.levels)
+
+
+def _write_json(path: str, doc) -> None:
+    """Handle ``--json -|FILE``: ``-`` prints the document to stdout.
+
+    A file's ``wrote FILE`` confirmation goes to *stderr*, like
+    :func:`_export_trace_to_stderr`'s, so stdout does not depend on the
+    output path.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if path == "-":
+        print(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _make_live_monitor(args: argparse.Namespace):
@@ -146,7 +209,8 @@ def _export_trace_to_stderr(args: argparse.Namespace, telemetry) -> None:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    app, network, leveling = _load_instance(args)
+    # --strict leaves mismatches to the lint gate, which names them.
+    app, network, leveling = _load_instance(args, validate=not args.strict)
     telemetry = None
     if args.trace_out or args.metrics or args.profile_out:
         from .obs import Telemetry
@@ -239,20 +303,17 @@ def _report_task_failure(args: argparse.Namespace, exc) -> int:
     """
     print(exc, file=sys.stderr)
     if args.json:
-        payload_doc = {
-            "error": "task_failed",
-            "failed_indices": list(exc.indices),
-            "failures": {
-                str(i): {"message": message, "remote_traceback": remote_tb}
-                for i, (message, remote_tb) in sorted(exc.failures.items())
+        _write_json(
+            args.json,
+            {
+                "error": "task_failed",
+                "failed_indices": list(exc.indices),
+                "failures": {
+                    str(i): {"message": message, "remote_traceback": remote_tb}
+                    for i, (message, remote_tb) in sorted(exc.failures.items())
+                },
             },
-        }
-        payload = json.dumps(payload_doc, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            print(f"wrote {args.json}", file=sys.stderr)
+        )
     return 1
 
 
@@ -359,14 +420,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(telemetry.metrics.render_text())
     _export_trace_to_stderr(args, telemetry)
     if args.json:
-        payload = json.dumps(payload_doc, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            # stderr: stdout must stay byte-identical across same-seed runs
-            # regardless of the output path (the fault-smoke CI job diffs it).
-            print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, payload_doc)
     return 0 if ok else 1
 
 
@@ -452,14 +506,7 @@ def _cmd_controller(args: argparse.Namespace) -> int:
         print(telemetry.metrics.render_text())
     _export_trace_to_stderr(args, telemetry)
     if args.json:
-        payload = json.dumps(record, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            open(args.json, "w").write(payload + "\n")
-            # stderr: stdout must stay byte-identical across same-seed runs
-            # (the controller-smoke CI job diffs it).
-            print(f"wrote {args.json}", file=sys.stderr)
+        _write_json(args.json, record)
     initial_ok = all(entry["deployed"] for entry in record["initial"])
     return 0 if initial_ok else 1
 
@@ -494,19 +541,15 @@ def _cmd_bench_hierarchy(args: argparse.Namespace) -> int:
         )
     )
     if args.json:
-        payload = {
-            "format": 1,
-            "suite": "hierarchy",
-            "workers": args.workers,
-            "points": [p.to_dict() for p in points],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(
+            args.json,
+            {
+                "format": 1,
+                "suite": "hierarchy",
+                "workers": args.workers,
+                "points": [p.to_dict() for p in points],
+            },
+        )
     return 0
 
 
@@ -609,21 +652,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.json:
-        payload = {
-            "format": 1,
-            "workers": workers,
-            "static_prune": args.static_prune,
-            "rounds_s": [round(s, 6) for s in round_s],
-            "cache": cache.stats() if cache is not None and workers == 1 else None,
-            "cells": [row.to_record() for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}")
+        _write_json(
+            args.json,
+            {
+                "format": 1,
+                "workers": workers,
+                "static_prune": args.static_prune,
+                "rounds_s": [round(s, 6) for s in round_s],
+                "cache": cache.stats() if cache is not None and workers == 1 else None,
+                "cells": [row.to_record() for row in rows],
+            },
+        )
     return 0
 
 
@@ -642,7 +681,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import LintOptions, lint_app
 
-    app, network, leveling = _load_instance(args)
+    app, network, leveling = _load_instance(args, validate=False)
     report = lint_app(
         app, network, leveling, options=LintOptions(deep=not args.no_deep)
     )
@@ -800,13 +839,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget; an expiring deadline returns the anytime "
         "incumbent plan when one exists (docs/ROBUSTNESS.md)",
     )
-    p_plan.add_argument(
+    solve_mode = p_plan.add_mutually_exclusive_group()
+    solve_mode.add_argument(
         "--fallback",
         action="store_true",
         help="walk the graceful-degradation ladder (full -> anytime -> "
         "coarsened levels -> greedy) instead of failing outright",
     )
-    p_plan.add_argument(
+    solve_mode.add_argument(
         "--hierarchical",
         action="store_true",
         help="plan by stub-domain decomposition on transit-stub networks "
@@ -820,7 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="with --fallback: race the ladder rungs in N processes, each "
-        "with the whole time budget; the best rung that succeeds wins "
+        "with the whole time budget, under the sequential walk's acceptance "
+        "rule; with --hierarchical: solve domains in N processes "
         "(docs/PERFORMANCE.md). No effect on a plain solve.",
     )
     p_plan.add_argument(

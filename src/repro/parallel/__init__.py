@@ -21,8 +21,11 @@ Spawn-safe building blocks for running planner work across processes:
 * Worker task functions (:mod:`repro.parallel.workers`) — the
   module-level entry points the workers actually run (Table-2 cells,
   fault-campaign runs, fleet repairs, hierarchical domains).
-* Portfolio racing (:mod:`repro.parallel.race`) — the process-parallel
-  mode of :func:`repro.planner.solve_robust`.
+
+The portfolio race of :func:`repro.planner.solve_robust` is one more
+:func:`fan_out` caller: its ``on_result`` returns ``True`` once the
+ladder's acceptance rule decides, which ends the run and terminates the
+rungs still running (cancel-on-win, see :meth:`Supervisor.run`).
 
 Consumers: ``run_table2(workers=N)``, ``run_campaign(workers=N)``,
 ``solve_robust(workers=N)``, and the ``--workers`` CLI flags on
@@ -46,7 +49,6 @@ from .fingerprint import (
     network_delta,
     network_fingerprint,
 )
-from .race import RungJob, RungOutcome, race_rungs
 from .supervisor import (
     START_METHOD,
     SupervisionReport,
@@ -97,9 +99,6 @@ __all__ = [
     "leveling_fingerprint",
     "NetworkDelta",
     "network_delta",
-    "RungJob",
-    "RungOutcome",
-    "race_rungs",
     "CellTask",
     "CellResult",
     "run_cell_task",

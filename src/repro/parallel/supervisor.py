@@ -66,6 +66,12 @@ worker mid-campaign and diffs).
 Fault injection for tests and CI: ``run(..., inject_kill={k})`` makes
 the worker assigned task ``k`` SIGKILL *itself* immediately before
 running it, once — the requeued attempt runs clean.
+
+Cancel-on-win: an ``on_result`` callback that returns ``True`` ends the
+run early.  The slots still holding the run's tasks are killed —
+not a death, so no retry, respawn or quarantine is counted — and are
+started again at the next :meth:`Supervisor.run`.  The portfolio race of
+:func:`repro.planner.solve_robust` stops losing rungs this way.
 """
 
 from __future__ import annotations
@@ -298,9 +304,10 @@ class SupervisionReport:
 
     ``values[i]`` is task ``i``'s result, or ``None`` where the task
     failed or was quarantined (look it up in ``failures`` /
-    ``quarantined``).  ``slots[i]`` is the worker slot that returned
-    ``values[i]`` — ``None`` when the task ran in the coordinator
-    process or did not succeed.
+    ``quarantined``) or an ``on_result`` stop ended the run first.
+    ``slots[i]`` is the worker slot that returned ``values[i]`` —
+    ``None`` when the task ran in the coordinator process or did not
+    succeed.
     """
 
     values: list
@@ -473,19 +480,24 @@ class Supervisor:
         payloads: Sequence,
         on_frame: Callable[[int, dict], None] | None = None,
         stream_interval_s: float | None = None,
-        on_result: Callable[[int, object], None] | None = None,
+        on_result: Callable[[int, object], bool | None] | None = None,
         inject_kill: Sequence[int] = (),
     ) -> SupervisionReport:
         """Run ``fn`` over ``payloads`` under supervision.
 
         ``on_result(index, value)`` fires as each task *completes* (in
         completion order — checkpoint journals use it to persist results
-        crash-safely as they land).  ``inject_kill`` lists task indices
-        whose assigned worker SIGKILLs itself right before running them,
-        once each — the fault-injection hook for tests and CI.
+        crash-safely as they land); returning ``True`` ends the run there
+        and terminates the slots still holding its tasks, whose values
+        stay ``None``.  ``inject_kill`` lists task indices whose assigned
+        worker SIGKILLs itself right before running them, once each — the
+        fault-injection hook for tests and CI.
         """
         if self._closed:
             raise RuntimeError("supervisor is closed")
+        for slot_id, slot in enumerate(self._slots):
+            if slot.proc is None and not slot.dead:  # terminated by a stop
+                self._spawn(slot_id)
         payload_list = list(payloads)
         total = len(payload_list)
         report = SupervisionReport(values=[None] * total, slots=[None] * total)
@@ -558,6 +570,7 @@ class _RunState:
         self.kill_pending = kill_pending
         self.attempts: dict[int, int] = {}
         self.kills: dict[int, int] = {}
+        self.stopped = False  # on_result asked to end the run
         self.stall_after = (interval or 0.0) * STALL_INTERVALS
         self.kill_after = (interval or 0.0) * supervisor.config.stall_kill_intervals
 
@@ -624,8 +637,8 @@ class _RunState:
         if ok:
             self.report.values[index] = value
             self.report.slots[index] = slot_id
-            if self.on_result is not None:
-                self.on_result(index, value)
+            if self.on_result is not None and self.on_result(index, value):
+                self.stopped = True
         else:
             self.report.failures[index] = (value, remote_tb)
 
@@ -647,6 +660,9 @@ class _RunState:
     def loop(self) -> None:
         total = len(self.payloads)
         while self._settled() < total:
+            if self.stopped:
+                self._terminate_busy()
+                return
             busy = [
                 slot_id
                 for slot_id, slot in enumerate(self.sup._slots)
@@ -675,6 +691,8 @@ class _RunState:
             self._check_stalls(busy, ready or ())
             handled_death: set[int] = set()
             for obj in ready or ():
+                if self.stopped:
+                    break
                 kind, slot_id = waitables[obj]
                 if slot_id in handled_death:
                     continue
@@ -692,6 +710,26 @@ class _RunState:
                     handled_death.add(slot_id)
                     continue
                 self._on_message(slot_id, message)
+
+    def _terminate_busy(self) -> None:
+        """End a stopped run: kill the slots still holding its tasks.
+
+        Not a death — nothing is retried, respawned or quarantined, and
+        :meth:`Supervisor.run` starts the slots again on its next call.
+        Each killed process is reaped here, so :meth:`Supervisor.close`
+        has nothing to wait for on its slot.
+        """
+        for slot in self.sup._slots:
+            if not slot.queued:
+                continue
+            slot.queued = []
+            if slot.proc is not None:
+                slot.proc.kill()
+                slot.proc.join()
+            if slot.conn is not None:
+                slot.conn.close()
+            slot.proc = None
+            slot.conn = None
 
     def _check_stalls(self, busy: list[int], ready) -> None:
         if not self.interval:
@@ -755,11 +793,12 @@ class _RunState:
         """
         slot = self.sup._slots[slot_id]
         try:
-            while slot.conn.poll():
+            while not self.stopped and slot.conn.poll():
                 self._on_message(slot_id, slot.conn.recv())
         except (EOFError, ConnectionResetError, OSError):
             pass
-        self._handle_death(slot_id)
+        if not self.stopped:  # a stopped run terminates the slot instead
+            self._handle_death(slot_id)
         return True
 
     # -- death, retry, quarantine, respawn ---------------------------------------------
@@ -868,6 +907,8 @@ class _RunState:
             self.report.stats.inprocess += 1
             self.sup._inc("pool.task.inprocess")
             self._record_result(index, ok, value, remote_tb, None)
+            if self.stopped:
+                return
 
 
 def fan_out(
@@ -881,7 +922,7 @@ def fan_out(
     span_attrs: dict | None = None,
     on_frame: Callable[[int, dict], None] | None = None,
     stream_interval_s: float | None = None,
-    on_result: Callable[[int, object], None] | None = None,
+    on_result: Callable[[int, object], bool | None] | None = None,
     inject_kill: Sequence[int] = (),
 ) -> SupervisionReport:
     """Run ``fn`` over ``tasks`` across worker processes: the one fan-out path.
@@ -903,7 +944,8 @@ def fan_out(
     Tasks that raise in workers surface as :class:`TaskFailed` (in this
     process, the task's own exception propagates); quarantined tasks
     stay in the returned report, so strict callers follow up with
-    :meth:`SupervisionReport.raise_on_failure`.
+    :meth:`SupervisionReport.raise_on_failure`.  An ``on_result`` that
+    returns ``True`` ends the run early (see :meth:`Supervisor.run`).
     """
     tasks = list(tasks)
     workers = resolve_workers(workers, len(tasks))
@@ -942,7 +984,7 @@ def _run_here(fn, tasks: list, on_frame, on_result) -> SupervisionReport:
     from ..obs.stream import make_frame, task_label
 
     total = len(tasks)
-    report = SupervisionReport(values=[], slots=[None] * total)
+    report = SupervisionReport(values=[None] * total, slots=[None] * total)
     for index, task in enumerate(tasks):
         label = task_label(task)
         if on_frame is not None:
@@ -951,9 +993,8 @@ def _run_here(fn, tasks: list, on_frame, on_result) -> SupervisionReport:
                 make_frame("task_start", task=index, label=label, done=index, total=total),
             )
         value = fn(task)
-        report.values.append(value)
-        if on_result is not None:
-            on_result(index, value)
+        report.values[index] = value
+        stop = on_result is not None and on_result(index, value)
         if on_frame is not None:
             on_frame(
                 0,
@@ -962,4 +1003,6 @@ def _run_here(fn, tasks: list, on_frame, on_result) -> SupervisionReport:
                     done=index + 1, total=total, ok=True,
                 ),
             )
+        if stop:
+            break
     return report

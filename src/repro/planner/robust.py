@@ -16,26 +16,39 @@ ladder of progressively cheaper configurations:
 
 Every rung validates its plan with the exact executor (the planner's
 ``validate`` default), so whatever the ladder returns is a *correct*
-deployment — only optimality degrades.  Failures that a lower rung cannot
-fix stop the walk early: :class:`Unsolvable` is a logical gap and
-:class:`ResourceInfeasible` only gets worse as levels coarsen (coarser
-intervals raise worst-case consumption), so neither is retried.
+deployment — only optimality degrades.
+
+One ladder serves both modes: the rung list (:func:`_ladder`), one rung
+runner (:func:`_run_rung`) and one acceptance rule (:func:`_accept`),
+applied in priority order — an ``ok`` rung wins; a fatal verdict ends the
+walk with no plan (:class:`Unsolvable` is a logical gap and
+:class:`ResourceInfeasible` only gets worse as levels coarsen, since
+coarser intervals raise worst-case consumption); any other failure passes
+to the next rung; an unresolved rung means wait.  The sequential walk
+(``workers=1``) runs the rungs in turn, in this process; the race
+(``workers > 1``) runs them at once through :func:`repro.parallel.fan_out`
+and ends the run as soon as the rule decides, terminating the rungs still
+running.  Racing therefore changes wall clock, never the verdict's rule.
 
 The returned :class:`SolveOutcome` names the rung that produced the plan
 and records why every earlier rung failed.  With telemetry attached, the
-walk increments ``robust.attempt.<rung>`` per attempt,
+walk increments ``robust.attempt.<rung>`` per attempt
+(``robust.cancelled.<rung>`` for a raced rung stopped early),
 ``robust.fallback.<rung>`` for the winning rung, and ``robust.failed``
-when no rung succeeds.
+when no rung succeeds; each attempt runs under a ``robust.rung`` span,
+raced ones under one ``robust.race``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from ..model import AppSpec, Leveling, LevelSpec
 from ..network import Network
-from ..obs import Telemetry
+from ..obs import Telemetry, TraceContext, maybe_span
+from .deadline import Deadline
 from .errors import ResourceInfeasible, SearchBudgetExceeded, Unsolvable
 from .plan import Plan
 from .planner import Planner, PlannerConfig
@@ -57,6 +70,9 @@ RUNGS = ("full", "anytime", "coarsened", "greedy")
 _FIRST_SHARE = 0.5
 _COARSE_SHARE = 0.6
 _MIN_SLICE_S = 1e-3
+
+_FATAL = ("Unsolvable", "ResourceInfeasible")
+"""Verdicts no lower rung can fix: they end the walk with no plan."""
 
 
 @dataclass
@@ -159,240 +175,263 @@ def solve_robust(
         Metrics sink for the ``robust.*`` counters (overrides
         ``config.telemetry``).
     workers:
-        ``1`` (the default) walks the ladder sequentially exactly as
-        before.  ``> 1`` races the rungs in that many processes instead
-        (:mod:`repro.parallel.race`): every rung gets the *whole* time
-        budget, the best rung that succeeds wins, and the losers are
-        cancelled.  Same acceptance semantics — a lower rung's plan is
-        only taken once every higher rung has failed — so the two modes
-        differ only in wall clock and, under deadline pressure, in which
-        rung wins (always recorded in ``SolveOutcome.rung``).
+        ``1`` (the default) walks the ladder sequentially in this
+        process.  ``> 1`` races the rungs in that many worker processes
+        instead: every rung gets the *whole* time budget, bounded by its
+        own planner deadline, and the run ends once the acceptance rule
+        decides, with the rungs still running recorded as ``Cancelled``.
+        The rule is the sequential one, so the two modes differ only in
+        wall clock and, under deadline pressure, in which rung wins
+        (always recorded in ``SolveOutcome.rung``).
 
     Never raises :class:`~repro.planner.PlanningError` — an unsolvable
     walk is reported via ``SolveOutcome.plan is None``.  Configuration
     errors (:class:`~repro.model.SpecError`, ``ValueError``) and executor
-    bugs (:class:`~repro.planner.ExecutionError`) still propagate.
+    bugs (:class:`~repro.planner.ExecutionError`) still propagate (from a
+    raced rung, as :class:`~repro.parallel.TaskFailed`).
     """
     base = config or PlannerConfig()
     leveling = leveling if leveling is not None else base.leveling
     telemetry = telemetry if telemetry is not None else base.telemetry
     if time_limit_s is None:
         time_limit_s = base.time_limit_s
+    # Every rung runs in anytime mode, so the full rung degrades to its own
+    # incumbent exactly as rung 2 does.
+    config = replace(base, anytime=True, telemetry=telemetry)
+    rungs = _ladder(leveling)
     if workers > 1:
-        return _solve_robust_racing(
-            app, network, leveling, base, time_limit_s, telemetry, workers
-        )
-    t_walk = time.perf_counter()
-    walk_end = t_walk + time_limit_s if time_limit_s is not None else None
+        attempts, winner, plan = _race(app, network, rungs, config, time_limit_s, workers)
+    else:
+        attempts, winner, plan = _walk(app, network, rungs, config, time_limit_s)
+    outcome = SolveOutcome(plan=plan, attempts=attempts)
     metrics = telemetry.metrics if telemetry is not None else None
-
-    def remaining_s() -> float | None:
-        if walk_end is None:
-            return None
-        return max(walk_end - time.perf_counter(), _MIN_SLICE_S)
-
-    def slice_s(share: float) -> float | None:
-        rem = remaining_s()
-        if rem is None:
-            return None
-        return max(rem * share, _MIN_SLICE_S)
-
-    outcome = SolveOutcome(plan=None)
-
-    def attempt(rung: str, lev: Leveling | None, limit: float | None) -> Plan | None:
-        """Run one rung; record the attempt; return its plan or None."""
+    if plan is None:
         if metrics is not None:
-            metrics.inc(f"robust.attempt.{rung}")
-        cfg = replace(
-            base,
-            leveling=lev,
-            time_limit_s=limit,
-            anytime=True,
-            telemetry=telemetry,
-        )
+            metrics.inc("robust.failed")
+        return outcome
+    outcome.rung = "anytime" if winner == "full" and plan.incumbent else winner
+    if metrics is not None:
+        metrics.inc(f"robust.fallback.{outcome.rung}")
+    return outcome
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One ladder rung: its name, leveling, and sequential budget share."""
+
+    name: str
+    leveling: Leveling | None
+    share: float
+    """Share of the walk's remaining time the sequential walk gives it."""
+
+
+def _ladder(leveling: Leveling | None) -> list[_Rung]:
+    """The rungs in priority order (coarsened only when levels coarsen)."""
+    rungs = [_Rung("full", leveling, _FIRST_SHARE)]
+    coarse = coarsen_leveling(leveling) if leveling is not None else None
+    if coarse is not None:
+        rungs.append(_Rung("coarsened", coarse, _COARSE_SHARE))
+    rungs.append(_Rung("greedy", Leveling({}, name="greedy-trivial"), 1.0))
+    return rungs
+
+
+def _accept(attempts: Sequence[RungAttempt | None]) -> tuple[bool, int | None]:
+    """The ladder's acceptance rule over attempts in priority order.
+
+    ``attempts[i]`` is rung ``i``'s attempt, ``None`` while unresolved.
+    Returns ``(decided, winner)``: the first ``ok`` rung wins; a fatal
+    verdict decides with no winner; any other failure passes to the next
+    rung; an unresolved rung leaves it undecided — a lower rung's verdict
+    never preempts a higher rung still running.  Past the last rung the
+    walk is decided with no winner.
+    """
+    for index, attempt in enumerate(attempts):
+        if attempt is None:
+            return False, None
+        if attempt.succeeded:
+            return True, index
+        if attempt.error_type in _FATAL:
+            return True, None
+    return True, None
+
+
+def _run_rung(
+    rung: str, app: AppSpec, network: Network, config: PlannerConfig
+) -> tuple[RungAttempt, Plan | None]:
+    """Run one rung (``config`` carries its leveling and time limit).
+
+    Planner verdicts come back as a failed attempt, never raised; with
+    telemetry the attempt runs under a ``robust.rung`` span.
+    """
+    with maybe_span(config.telemetry, "robust.rung", rung=rung) as span:
         t0 = time.perf_counter()
         try:
-            plan = Planner(cfg).solve(app, network)
+            plan = Planner(config).solve(app, network)
         except (SearchBudgetExceeded, Unsolvable, ResourceInfeasible) as exc:
-            outcome.attempts.append(
-                RungAttempt(
-                    rung=rung,
-                    succeeded=False,
-                    detail=str(exc).splitlines()[0],
-                    error_type=type(exc).__name__,
-                    elapsed_s=time.perf_counter() - t0,
-                )
+            plan = None
+            attempt = RungAttempt(
+                rung=rung,
+                succeeded=False,
+                detail=str(exc).splitlines()[0],
+                error_type=type(exc).__name__,
+                elapsed_s=time.perf_counter() - t0,
             )
-            # A lower rung cannot repair a logical gap, and coarser levels
-            # only raise worst-case consumption — stop the walk for both.
-            if isinstance(exc, (Unsolvable, ResourceInfeasible)):
-                raise _LadderStop from exc
-            return None
-        outcome.attempts.append(
-            RungAttempt(
+        else:
+            attempt = RungAttempt(
                 rung=rung,
                 succeeded=True,
                 detail=f"{len(plan)} actions, cost lower bound {plan.cost_lb:g}"
                 + (" (incumbent)" if plan.incumbent else ""),
                 elapsed_s=time.perf_counter() - t0,
             )
-        )
-        return plan
-
-    def finish(rung: str, plan: Plan) -> SolveOutcome:
-        outcome.plan = plan
-        outcome.rung = rung
-        if metrics is not None:
-            metrics.inc(f"robust.fallback.{rung}")
-        return outcome
-
-    try:
-        # Rungs 1+2 — one search: optimal if it finishes, incumbent if cut.
-        plan = attempt("full", leveling, slice_s(_FIRST_SHARE))
-        if plan is not None:
-            return finish("anytime" if plan.incumbent else "full", plan)
-
-        # Rung 3 — coarsened leveling (skipped when nothing to coarsen).
-        coarse = coarsen_leveling(leveling) if leveling is not None else None
-        if coarse is not None:
-            plan = attempt("coarsened", coarse, slice_s(_COARSE_SHARE))
-            if plan is not None:
-                return finish("coarsened", plan)
-
-        # Rung 4 — the original greedy Sekitei (trivial leveling).
-        plan = attempt("greedy", Leveling({}, name="greedy-trivial"), remaining_s())
-        if plan is not None:
-            return finish("greedy", plan)
-    except _LadderStop:
-        pass
-
-    if metrics is not None:
-        metrics.inc("robust.failed")
-    return outcome
+        if span is not None:
+            span.attrs["ok"] = attempt.succeeded
+    return attempt, plan
 
 
-class _LadderStop(Exception):
-    """Internal: a rung failed in a way no lower rung can fix."""
-
-
-def _solve_robust_racing(
+def _walk(
     app: AppSpec,
     network: Network,
-    leveling: Leveling | None,
-    base: PlannerConfig,
+    rungs: list[_Rung],
+    config: PlannerConfig,
     time_limit_s: float | None,
-    telemetry: Telemetry | None,
-    workers: int,
-) -> SolveOutcome:
-    """Race the ladder rungs across processes (``solve_robust(workers>1)``).
-
-    Each rung runs in its own process with the whole time budget; the
-    race accepts the best rung that succeeds (see
-    :func:`repro.parallel.race.race_rungs` for the acceptance policy).
-    The winner's plan travels home as a :class:`~repro.parallel.PlanEnvelope`
-    and is rebound to a problem compiled in the parent through the
-    warm-start cache; only the winner's worker metrics are merged (the
-    losers' work was cancelled, so counting it would misstate the cost
-    of the returned plan).
-    """
-    from ..parallel.cache import default_compile_cache
-    from ..parallel.race import RungJob, race_rungs
-
-    metrics = telemetry.metrics if telemetry is not None else None
-    # Each racing rung gets the whole budget and runs in anytime mode, so
-    # the full rung degrades to its own incumbent exactly as rung 2 does.
-    child_config = replace(
-        base, time_limit_s=time_limit_s, anytime=True, telemetry=None
-    )
-    jobs = [
-        RungJob(
-            rung="full",
-            app=app,
-            network=network,
-            leveling=leveling,
-            config=child_config,
-            with_metrics=metrics is not None,
+) -> tuple[list[RungAttempt], str, Plan | None]:
+    """The sequential ladder: each rung in turn, with its share of what is left."""
+    walk = Deadline.after(time_limit_s) if time_limit_s is not None else None
+    metrics = config.telemetry.metrics if config.telemetry is not None else None
+    attempts: list[RungAttempt | None] = [None] * len(rungs)
+    for index, rung in enumerate(rungs):
+        if metrics is not None:
+            metrics.inc(f"robust.attempt.{rung.name}")
+        limit = (
+            None if walk is None
+            else max(walk.remaining_s() * rung.share, _MIN_SLICE_S)
         )
-    ]
-    coarse = coarsen_leveling(leveling) if leveling is not None else None
-    if coarse is not None:
-        jobs.append(
-            RungJob(
-                rung="coarsened",
+        attempts[index], plan = _run_rung(
+            rung.name, app, network,
+            replace(config, leveling=rung.leveling, time_limit_s=limit),
+        )
+        decided, winner = _accept(attempts)
+        if decided:
+            break
+    tried = [a for a in attempts if a is not None]
+    if winner is None:
+        return tried, "", None
+    return tried, rungs[winner].name, plan
+
+
+@dataclass(frozen=True)
+class _RungTask:
+    """One raced rung, as shipped to a worker process."""
+
+    rung: str
+    app: AppSpec
+    network: Network
+    config: PlannerConfig  # leveling and time limit set, telemetry stripped
+    with_metrics: bool = False
+    trace: TraceContext | None = None
+
+
+@dataclass(frozen=True)
+class _RungResult:
+    """A raced rung's attempt, plan envelope and worker metrics."""
+
+    attempt: RungAttempt
+    plan: object  # PlanEnvelope | None
+    metrics: object  # MetricsSnapshot
+
+
+def _run_rung_task(task: _RungTask) -> _RungResult:
+    """Worker side of the race: :func:`_run_rung`, shipped home as data."""
+    from ..parallel.envelope import MetricsSnapshot, PlanEnvelope
+
+    telemetry = Telemetry(context=task.trace) if task.with_metrics else None
+    attempt, plan = _run_rung(
+        task.rung, task.app, task.network, replace(task.config, telemetry=telemetry)
+    )
+    return _RungResult(
+        attempt=attempt,
+        plan=PlanEnvelope.from_plan(plan) if plan is not None else None,
+        metrics=MetricsSnapshot.from_telemetry(telemetry),
+    )
+
+
+def _race(
+    app: AppSpec,
+    network: Network,
+    rungs: list[_Rung],
+    config: PlannerConfig,
+    time_limit_s: float | None,
+    workers: int,
+) -> tuple[list[RungAttempt], str, Plan | None]:
+    """Race the rungs through :func:`repro.parallel.fan_out` (``workers > 1``).
+
+    Each rung runs in a worker with the whole time budget.  ``on_result``
+    applies :func:`_accept` as results land and ends the run once it
+    decides; unresolved rungs are recorded as ``Cancelled``, and a rung
+    whose worker the supervisor quarantined as ``WorkerCrashed``.  The
+    winner's plan travels home as a :class:`~repro.parallel.PlanEnvelope`
+    and is rebound to a problem compiled here through the warm-start
+    cache; only the winner's worker metrics are stitched and merged (the
+    losers' work was cancelled, so counting it would misstate the cost of
+    the returned plan).
+    """
+    from ..parallel import default_compile_cache, fan_out
+
+    telemetry = config.telemetry
+    metrics = telemetry.metrics if telemetry is not None else None
+    child = replace(config, time_limit_s=time_limit_s, telemetry=None)
+    attempts: list[RungAttempt | None] = [None] * len(rungs)
+
+    def on_result(index: int, result: _RungResult) -> bool:
+        attempts[index] = result.attempt
+        return _accept(attempts)[0]
+
+    with maybe_span(telemetry, "robust.race", workers=workers, rungs=len(rungs)):
+        # Raced rungs inherit the dispatch span's context, so the
+        # winner's remote spans stitch under it in the merged trace.
+        trace = telemetry.current_context() if telemetry is not None else None
+        tasks = [
+            _RungTask(
+                rung=rung.name,
                 app=app,
                 network=network,
-                leveling=coarse,
-                config=child_config,
+                config=replace(child, leveling=rung.leveling),
                 with_metrics=metrics is not None,
+                trace=trace,
             )
+            for rung in rungs
+        ]
+        report = fan_out(_run_rung_task, tasks, workers, on_result=on_result)
+    for q in report.quarantined:
+        attempts[q.index] = RungAttempt(
+            rung=rungs[q.index].name, succeeded=False, detail=q.reason,
+            error_type="WorkerCrashed",
         )
-    jobs.append(
-        RungJob(
-            rung="greedy",
-            app=app,
-            network=network,
-            leveling=Leveling({}, name="greedy-trivial"),
-            config=child_config,
-            with_metrics=metrics is not None,
-        )
-    )
-    leveling_of = {job.rung: job.leveling for job in jobs}
-
-    if telemetry is not None:
-        # Dispatch span: racing rungs inherit its context, so the
-        # winner's remote spans stitch under it in the merged trace.
-        with telemetry.span("robust.race", workers=workers, rungs=len(jobs)):
-            ctx = telemetry.current_context()
-            jobs = [replace(job, trace=ctx) for job in jobs]
-            winner, raced = race_rungs(jobs, workers=workers, time_limit_s=time_limit_s)
-    else:
-        winner, raced = race_rungs(jobs, workers=workers, time_limit_s=time_limit_s)
-
-    outcome = SolveOutcome(plan=None)
-    for res in raced:
-        if res.status == "ok":
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=True, detail=res.detail,
-                elapsed_s=res.elapsed_s,
+    _, winner = _accept(attempts)
+    for index, rung in enumerate(rungs):
+        if attempts[index] is None:
+            attempts[index] = RungAttempt(
+                rung=rung.name, succeeded=False, error_type="Cancelled",
+                detail=f"lost race to {rungs[winner].name}" if winner is not None
+                else "race ended by a fatal verdict",
             )
-        elif res.status == "error":
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type=res.error_type, elapsed_s=res.elapsed_s,
-            )
-        elif res.status == "crashed":
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type="WorkerCrashed", elapsed_s=res.elapsed_s,
-            )
-        else:  # cancelled (race lost / aborted / never started)
-            attempt = RungAttempt(
-                rung=res.rung, succeeded=False, detail=res.detail,
-                error_type="Cancelled", elapsed_s=res.elapsed_s,
-            )
-        outcome.attempts.append(attempt)
         if metrics is not None:
-            if res.status in ("ok", "error"):
-                metrics.inc(f"robust.attempt.{res.rung}")
-            elif res.status == "cancelled":
-                metrics.inc(f"robust.cancelled.{res.rung}")
+            error = attempts[index].error_type
+            if error == "Cancelled":
+                metrics.inc(f"robust.cancelled.{rung.name}")
+            elif error != "WorkerCrashed":
+                metrics.inc(f"robust.attempt.{rung.name}")
+    if winner is None:
+        return attempts, "", None
 
-    if winner is None or winner.plan is None:
-        if metrics is not None:
-            metrics.inc("robust.failed")
-        return outcome
-
+    rung = rungs[winner]
+    result = report.values[winner]
     problem = default_compile_cache().compile(
-        app, network, leveling_of[winner.rung], metrics=metrics
+        app, network, rung.leveling, metrics=metrics
     )
-    plan = winner.plan.restore(problem)
-    outcome.plan = plan
-    outcome.rung = (
-        "anytime" if winner.rung == "full" and plan.incumbent else winner.rung
-    )
+    plan = result.plan.restore(problem)
     if metrics is not None:
-        metrics.inc(f"robust.fallback.{outcome.rung}")
-        if winner.metrics is not None:
-            telemetry.stitch_snapshot(winner.metrics)
-            winner.metrics.merge_into(metrics)
-    return outcome
+        telemetry.stitch_snapshot(result.metrics)
+        result.metrics.merge_into(metrics)
+    return attempts, rung.name, plan

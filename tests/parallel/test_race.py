@@ -9,6 +9,9 @@ sequential walk returns.
 import pytest
 
 from repro.domains import media
+from repro.experiments import TABLE2_SCENARIOS
+from repro.experiments.networks import network_case
+from repro.experiments.scenarios import scenario
 from repro.network import chain_network
 from repro.obs import Telemetry
 from repro.planner import PlannerConfig, solve_robust
@@ -66,6 +69,49 @@ class TestRacingMatchesSequential:
         # sequential walk never records cancellations
         assert all(a.error_type != "Cancelled" for a in out.attempts)
         assert tele.metrics.get("robust.cancelled.coarsened") is None
+
+
+PARITY_CELLS = [
+    (net, scen) for net in ("Tiny", "Small") for scen in TABLE2_SCENARIOS
+] + [("Large", "C")]
+
+
+def table2_instance(net: str, scen: str):
+    case = network_case(net)
+    return (
+        media.build_app(case.server, case.client),
+        case.network,
+        scenario(scen).leveling(),
+    )
+
+
+class TestRacingParityOnTable2:
+    """The greedy rung is ResourceInfeasible on every Table-2 cell, often
+    long before the full rung finishes; that verdict must decide nothing
+    while the full rung is still running."""
+
+    @pytest.mark.parametrize("net,scen", PARITY_CELLS)
+    def test_raced_walk_returns_the_sequential_plan(self, net, scen):
+        app, network, lev = table2_instance(net, scen)
+        seq = solve_robust(app, network, lev, workers=1)
+        assert seq.rung == "full"
+        for workers in (2, 3):
+            raced = solve_robust(app, network, lev, workers=workers)
+            assert raced.rung == seq.rung, (workers, raced.describe())
+            assert raced.plan.action_names() == seq.plan.action_names()
+            assert raced.plan.cost_lb == seq.plan.cost_lb
+
+    def test_winning_full_rung_cancels_the_coarsened_rung(self):
+        # Sequentially, full takes ~0.5 s and coarsened ~2.1 s on Large/C:
+        # the full rung's win must stop the coarsened one mid-run.
+        app, network, lev = table2_instance("Large", "C")
+        tele = Telemetry()
+        raced = solve_robust(app, network, lev, telemetry=tele, workers=2)
+        by_rung = {a.rung: a for a in raced.attempts}
+        assert raced.rung == "full"
+        assert by_rung["coarsened"].error_type == "Cancelled"
+        assert by_rung["coarsened"].detail == "lost race to full"
+        assert tele.metrics.counter("robust.cancelled.coarsened").value == 1
 
 
 class TestRacingFatalErrors:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import Telemetry
 from repro.parallel import (
+    SupervisionStats,
     Supervisor,
     SupervisorConfig,
     TaskFailed,
@@ -54,6 +55,11 @@ def stop_once(payload):
 def slow_echo(x):
     time.sleep(0.05)
     return x
+
+
+def sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestHealthyRuns:
@@ -213,6 +219,34 @@ class TestStallEscalation:
         kinds = [f["kind"] for f in frames]
         assert "heartbeat_missed" in kinds
         assert "worker_respawned" in kinds
+
+
+class TestStopOnResult:
+    """Cancel-on-win: ``on_result`` returning True ends the run early."""
+
+    def test_stopped_run_counts_nothing_and_the_pool_runs_again(self):
+        with Supervisor(2) as sup:
+            before = sup.pids
+            t0 = time.monotonic()
+            report = sup.run(
+                sleep_for, [0.0, 30.0, 30.0, 30.0], on_result=lambda i, v: i == 0
+            )
+            assert time.monotonic() - t0 < 15.0  # the sleepers were cut off
+            assert report.values == [0.0, None, None, None]
+            assert report.ok
+            assert report.stats == SupervisionStats()
+            # Both slots still held tasks, so both were terminated; the
+            # next run starts them again and completes normally.
+            second = sup.run(square, list(range(6)))
+            assert second.values == [i * i for i in range(6)]
+            assert second.stats == SupervisionStats()
+            assert all(p > 0 for p in sup.pids) and set(sup.pids).isdisjoint(before)
+            t_close = time.monotonic()
+        assert time.monotonic() - t_close < 5.0
+
+    def test_in_process_fan_out_honours_the_stop(self):
+        report = fan_out(square, [1, 2, 3], workers=1, on_result=lambda i, v: i == 1)
+        assert report.values == [1, 4, None]
 
 
 class TestLifecycle:

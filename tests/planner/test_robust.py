@@ -15,6 +15,7 @@ from repro.planner import (
     coarsen_leveling,
     solve_robust,
 )
+from repro.planner import RungAttempt
 from repro.planner import robust as robust_mod
 
 LEV = media.proportional_leveling((30, 70, 90, 100))
@@ -87,6 +88,15 @@ class TestSolveRobust:
         assert len(outcome.attempts) == 1
         assert outcome.attempts[0].error_type in ("Unsolvable", "ResourceInfeasible")
 
+    def test_each_attempt_runs_under_a_rung_span(self):
+        app, net = chain_instance()
+        tele = Telemetry()
+        solve_robust(app, net, LEV, config=PlannerConfig(rg_node_budget=1), telemetry=tele)
+        rung_spans = [sp for sp in tele.spans.spans if sp.name == "robust.rung"]
+        assert [(sp.attrs["rung"], sp.attrs["ok"]) for sp in rung_spans] == [("full", True)]
+        compile_span = next(sp for sp in tele.spans.spans if sp.name == "compile")
+        assert compile_span.parent == rung_spans[0].id
+
     def test_describe_names_winning_rung(self):
         app, net = chain_instance()
         outcome = solve_robust(app, net, LEV)
@@ -96,6 +106,45 @@ class TestSolveRobust:
         outcome = SolveOutcome(plan=None)
         assert not outcome.solved and not outcome.degraded
         assert "no plan" in outcome.describe()
+
+
+def ok(rung):
+    return RungAttempt(rung=rung, succeeded=True)
+
+
+def failed(rung, error_type):
+    return RungAttempt(rung=rung, succeeded=False, error_type=error_type)
+
+
+class TestAcceptanceRule:
+    """The one rule both the sequential walk and the race apply."""
+
+    def test_lower_fatal_verdict_decides_nothing_while_full_runs(self):
+        # The greedy rung's ResourceInfeasible lands first (as it does on
+        # every Table-2 cell); the full rung is still unresolved.
+        attempts = [None, None, failed("greedy", "ResourceInfeasible")]
+        assert robust_mod._accept(attempts) == (False, None)
+        attempts[0] = ok("full")
+        assert robust_mod._accept(attempts) == (True, 0)
+
+    def test_lower_plan_waits_for_higher_rungs(self):
+        assert robust_mod._accept([None, ok("coarsened"), None]) == (False, None)
+        attempts = [failed("full", "SearchBudgetExceeded"), ok("coarsened"), None]
+        assert robust_mod._accept(attempts) == (True, 1)
+
+    def test_fatal_verdict_in_priority_order_ends_the_walk(self):
+        for fatal in ("Unsolvable", "ResourceInfeasible"):
+            attempts = [failed("full", fatal), ok("coarsened"), None]
+            assert robust_mod._accept(attempts) == (True, None)
+
+    def test_crashes_and_budget_cuts_pass_down_the_ladder(self):
+        attempts = [
+            failed("full", "WorkerCrashed"),
+            failed("coarsened", "DeadlineExceeded"),
+            ok("greedy"),
+        ]
+        assert robust_mod._accept(attempts) == (True, 2)
+        assert robust_mod._accept(attempts[:2]) == (True, None)
 
 
 class TestLadderWalk:
@@ -143,6 +192,10 @@ class TestLadderWalk:
         assert [a.succeeded for a in outcome.attempts] == [False, True]
         names = {m["name"] for m in tele.metrics.snapshot()}
         assert "robust.fallback.coarsened" in names
+        assert [
+            (sp.attrs["rung"], sp.attrs["ok"])
+            for sp in tele.spans.spans if sp.name == "robust.rung"
+        ] == [("full", False), ("coarsened", True)]
 
     def test_greedy_rung_is_last_resort(self, fake_planner):
         FakePlanner, calls = fake_planner

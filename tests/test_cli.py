@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,64 @@ class TestPlan:
                     "--goal", "Client=n1",
                 ]
             )
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter (sees tracebacks)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+BAD_INPUTS = {
+    "non-numeric-level": ({"--levels": "M.ibw=9x,100"}, "9x"),
+    "decreasing-levels": ({"--levels": "M.ibw=100,90"}, "strictly increasing"),
+    "missing-network": ({"--network": "missing.json"}, "cannot load network"),
+    "missing-spec": ({"--spec": "missing.spec"}, "cannot load spec"),
+    "non-json-network": ({"--network": "garbage.json"}, "cannot load network"),
+    "unparsable-spec": ({"--spec": "garbage.spec"}, "cannot load spec"),
+    "unknown-goal-node": ({"--goal": "Client=nZ"}, "unknown node 'nZ'"),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_with_a_message(self, workdir, case):
+        (workdir / "garbage.json").write_text("not json {")
+        (workdir / "garbage.spec").write_text("<component name=Server>\n<linkages>\nM.ibw := 1\n")
+        overrides, message = BAD_INPUTS[case]
+        args = {
+            "--network": "net.json",
+            "--spec": "app.spec",
+            "--initial": "Server=n0",
+            "--goal": "Client=n1",
+            "--levels": "M.ibw=90,100",
+        }
+        args.update(overrides)
+        for flag in ("--network", "--spec"):
+            args[flag] = str(workdir / args[flag])
+        proc = run_cli("plan", *(part for item in args.items() for part in item))
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    def test_fallback_and_hierarchical_are_exclusive(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "plan",
+                    "--network", str(workdir / "net.json"),
+                    "--spec", str(workdir / "app.spec"),
+                    "--goal", "Client=n1",
+                    "--fallback", "--hierarchical",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument --fallback" in capsys.readouterr().err
 
 
 class TestLint:
@@ -414,7 +476,11 @@ class TestBench:
             "--rounds", "2", "--json", str(out_file),
         ])
         assert rc == 0
-        assert "best:" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "best:" in captured.out
+        # The file confirmation goes to stderr; stdout ignores the path.
+        assert "wrote" not in captured.out
+        assert f"wrote {out_file}" in captured.err
         payload = json.loads(out_file.read_text())
         assert payload["workers"] == 1
         assert len(payload["rounds_s"]) == 2
